@@ -41,6 +41,7 @@ The pure-python backend is mandatory and fully featured.
 from __future__ import annotations
 
 import os
+import threading
 from heapq import heappush, heapreplace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -127,6 +128,9 @@ class ArrayTopKMatcher(TopKMatcher):
         self._acc: List[float] = []
         self._mark: List[int] = []
         self._gen = 0
+        # The accumulator is shared scratch, so one match at a time folds
+        # into it, even for concurrent readers under ThreadSafeMatcher.
+        self._scratch_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Interning
@@ -193,10 +197,13 @@ class ArrayTopKMatcher(TopKMatcher):
         return kind
 
     def ensure_built(self) -> None:
-        """Warm every ranged attribute's read view (skip table, mirrors).
+        """Build every ranged attribute's read view (skip table, mirrors).
 
         Called by the benchmark harness after loading so the one-time
-        array build is charged to load time, not the first match.
+        view build is charged to load time, not the first match.  Every
+        later add and cancel keeps the views current in place, so no
+        match rebuilds one; an attribute first indexed after this call
+        builds its view on its first probe.
         """
         want_numpy = self.backend == "numpy"
         for structure in self._master_index.values():
@@ -207,11 +214,12 @@ class ArrayTopKMatcher(TopKMatcher):
     # Algorithm 2: weighted partial matching
     # ------------------------------------------------------------------
     def _match_topk(self, event: Event, k: int) -> List[MatchResult]:
-        if self.heat is None:
-            order = self._fold_event(event)
-        else:
-            order = self._fold_event_heat(event, self.heat)
-        return self._select_topk(order, k)
+        with self._scratch_lock:
+            if self.heat is None:
+                order = self._fold_event(event)
+            else:
+                order = self._fold_event_heat(event, self.heat)
+            return self._select_topk(order, k)
 
     def _next_gen(self) -> int:
         self._gen += 1
@@ -324,9 +332,7 @@ class ArrayTopKMatcher(TopKMatcher):
         stop = index.cutoff(qhi)
         if not stop:
             return
-        view = index.ensure_view(False)
-        block_max = view[2]
-        packed = view[7]
+        block_max, packed, _mirrors = index.ensure_view(self.backend == "numpy")
         acc = self._acc
         mark = self._mark
         append = order.append
@@ -401,20 +407,20 @@ class ArrayTopKMatcher(TopKMatcher):
             return True
         if stop < _NUMPY_MIN_CUTOFF or float(qlo) != qlo or float(qhi) != qhi:
             return False
-        view = index.ensure_view(True)
-        np_his = view[4]
-        if np_his is None:
+        mirrors = index.ensure_view(True)[2]
+        if mirrors is None:
             return False
+        np_los, np_his, np_weights, np_slots = mirrors
         found = _np.flatnonzero(np_his[:stop] >= qlo)
         if not found.size:
             return True
-        slot_list: List[int] = view[6][found].tolist()
+        slot_list: List[int] = np_slots[found].tolist()
         if self.prorate:
             constant = self._proration_constant(attribute)
             event_width = qhi - qlo + constant
             overlap = (
                 _np.minimum(qhi, np_his[found])
-                - _np.maximum(qlo, view[3][found])
+                - _np.maximum(qlo, np_los[found])
                 + constant
             )
             if event_width > 0:
@@ -423,11 +429,11 @@ class ArrayTopKMatcher(TopKMatcher):
             else:
                 fraction = _np.ones_like(overlap)
             if override is None:
-                subscores: List[float] = (view[5][found] * fraction).tolist()
+                subscores: List[float] = (np_weights[found] * fraction).tolist()
             else:
                 subscores = (override * fraction).tolist()
         elif override is None:
-            subscores = view[5][found].tolist()
+            subscores = np_weights[found].tolist()
         else:
             subscores = [override] * len(slot_list)
         self._fold_pairs(zip(slot_list, subscores), None, order, gen, precomputed=True)
@@ -530,14 +536,15 @@ class ArrayTopKMatcher(TopKMatcher):
         cache = probe_cache if probe_cache is not None else ProbeCache()
         out: List[List[MatchResult]] = []
         heat = self.heat
-        for event in events:
-            if heat is None:
-                order = self._fold_event_cached(event, cache)
-            else:
-                order = self._fold_event_cached_heat(event, cache, heat)
-            results = self._select_topk(order, k)
-            self._settle(results)
-            out.append(results)
+        with self._scratch_lock:
+            for event in events:
+                if heat is None:
+                    order = self._fold_event_cached(event, cache)
+                else:
+                    order = self._fold_event_cached_heat(event, cache, heat)
+                results = self._select_topk(order, k)
+                self._settle(results)
+                out.append(results)
         return out
 
     def _fold_event_cached(self, event: Event, cache: ProbeCache) -> List[int]:

@@ -25,15 +25,21 @@ contiguous index arithmetic:
 (:mod:`repro.core.array_matcher`); carrying it next to the weight lets
 the fold accumulate into a flat slot-indexed list without hashing sids.
 
-The read-optimised view (skip table plus optional numpy mirrors) is
-published as one atomic tuple stamped with the build epoch — the same
-write-once-per-epoch discipline as ``IntervalTree``'s flattened view,
-so concurrent readers under a read lock never observe a torn rebuild.
+The read-optimised view (skip table, packed scan rows, optional numpy
+mirrors) is built once, by :meth:`SoARangedIndex.ensure_view` on the
+first read, and from then on every ``insert``/``delete`` updates it in
+place at the position the write already located.  Writes run under the
+write side of ``ThreadSafeMatcher``'s lock, so readers never see a
+write in progress and never rebuild anything; the one-time first build
+is published as one tuple, so concurrent first readers build the same
+view and either one's is complete.
 
-The numpy mirrors are only built when every endpoint round-trips
-``float64`` exactly (``float(v) == v``); otherwise candidate selection
-silently stays on the pure-python scan, which compares the original
-Python values and is therefore always exact.
+The numpy mirrors exist only while every endpoint round-trips
+``float64`` exactly (``float(v) == v``).  A per-write counter of inexact
+endpoints drops them when it leaves 0 and rebuilds them once when it
+returns to 0; meanwhile candidate selection stays on the pure-python
+scan, which compares the original Python values and is therefore
+always exact.
 """
 
 from __future__ import annotations
@@ -71,17 +77,44 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-#: The atomic read view: (epoch, numpy_built, block_max, np_los, np_his,
-#: np_weights, np_slots, packed).  ``numpy_built`` records whether the
-#: numpy mirrors were attempted for this epoch (they stay ``None`` when
-#: numpy is unavailable or the endpoints are not float64-exact); the
-#: numpy members are always ``None`` on the pure-python path.  ``packed``
-#: is the row-major mirror ``[(lo, hi, weight, slot), ...]`` the scalar
-#: scan-and-fold iterates — one indexed load plus a tuple unpack per
-#: candidate instead of four list indexings.
-_RangedView = Tuple[
-    int, bool, List[float], Any, Any, Any, Any, List[Tuple[float, float, float, int]]
-]
+#: One packed scan row ``(lo, hi, weight, slot)``: the scalar
+#: scan-and-fold takes one indexed load plus a tuple unpack per candidate
+#: instead of four list indexings.
+_Row = Tuple[float, float, float, int]
+
+#: The numpy mirrors ``(los, his, weights, slots)``.  Each array keeps
+#: spare capacity past ``len(index)`` so a write shifts in place; only
+#: that prefix is meaningful, and every reader slices or indexes below it.
+_Mirrors = Tuple[Any, Any, Any, Any]
+
+#: The read view ``(block_max, packed, mirrors)``.  ``mirrors`` is
+#: ``None`` on the pure-python path, without numpy, and while any
+#: endpoint is not float64-exact.
+_RangedView = Tuple[List[float], List[_Row], Optional[_Mirrors]]
+
+
+def _capacity(count: int) -> int:
+    """Mirror length for ``count`` entries: 1/8 spare, at least one slot.
+
+    Proportional spare keeps a cluster's many near-empty attributes
+    (one per discrete-looking boolean, say) from each carrying a fixed
+    reserve, and still makes growth a copy per ``count / 8`` inserts.
+    """
+    return count + (count >> 3) + 1
+
+
+def _rounds(value: Any) -> bool:
+    """Whether ``value``'s float64 image differs from it.
+
+    Python int/float comparisons are exact, so ``float(v) != v`` detects
+    any endpoint (e.g. an int beyond 2**53) whose float64 image would
+    shift a candidate-selection comparison.  A value with no float64
+    image at all counts as inexact too.
+    """
+    try:
+        return float(value) != value
+    except (OverflowError, TypeError, ValueError):
+        return True
 
 
 class SoARangedIndex:
@@ -94,7 +127,9 @@ class SoARangedIndex:
     [0, 1]
     """
 
-    __slots__ = ("los", "his", "weights", "slots", "sids", "_keys", "_epoch", "_view")
+    __slots__ = (
+        "los", "his", "weights", "slots", "sids", "_keys", "_inexact", "_numpy", "_view",
+    )
 
     def __init__(self) -> None:
         #: Parallel arrays sorted by the tree's ``(low, high, sid)`` key.
@@ -105,7 +140,10 @@ class SoARangedIndex:
         self.sids: List[Any] = []
         # The sort keys themselves, kept for O(log n) position lookup.
         self._keys: List[Tuple[float, float, Any]] = []
-        self._epoch = 0
+        # Endpoints (lows and highs each count) that float64 would round.
+        self._inexact = 0
+        # Whether the view carries numpy mirrors; set by the first numpy read.
+        self._numpy = False
         self._view: Optional[_RangedView] = None
 
     def __len__(self) -> int:
@@ -114,7 +152,8 @@ class SoARangedIndex:
     def insert(self, low: float, high: float, sid: Any, weight: float, slot: int) -> None:
         """Insert ``[low, high]`` for ``sid`` (interned to ``slot``).
 
-        ``O(log n)`` to locate plus ``O(n)`` array shifting.  Raises
+        ``O(log n)`` to locate plus ``O(n)`` array shifting; a built read
+        view is updated in place.  Raises
         :class:`~repro.errors.InvalidIntervalError` when ``low > high``
         and :class:`KeyError` on a duplicate ``(low, high, sid)`` — the
         interval tree's exact contracts.
@@ -131,12 +170,19 @@ class SoARangedIndex:
         self.weights.insert(position, weight)
         self.slots.insert(position, slot)
         self.sids.insert(position, sid)
-        self._epoch += 1
+        self._inexact += _rounds(low) + _rounds(high)
+        view = self._view
+        if view is not None:
+            row = (low, high, weight, slot)
+            view[1].insert(position, row)
+            _block_insert(view[0], self.his, position)
+            self._update_mirrors(view, position, row)
 
     def delete(self, low: float, high: float, sid: Any) -> None:
         """Remove the entry ``(low, high, sid)``.
 
-        Raises :class:`KeyError` when absent.
+        Raises :class:`KeyError` when absent.  A built read view is
+        updated in place.
         """
         key = (low, high, sid)
         position = bisect_left(self._keys, key)
@@ -148,50 +194,97 @@ class SoARangedIndex:
         del self.weights[position]
         del self.slots[position]
         del self.sids[position]
-        self._epoch += 1
+        self._inexact -= _rounds(low) + _rounds(high)
+        view = self._view
+        if view is not None:
+            del view[1][position]
+            _block_delete(view[0], self.his, position, high)
+            self._update_mirrors(view, position, None)
 
     # ------------------------------------------------------------------
     # The read view
     # ------------------------------------------------------------------
     def ensure_view(self, want_numpy: bool = False) -> _RangedView:
-        """Return the current read view, rebuilding it if stale; ``O(n)``.
+        """Return the read view, building it on the first read.
 
-        The view is one atomic tuple stamped with the epoch it was built
-        from — a concurrent reader either sees the previous complete
-        view (and rebuilds its own, idempotently) or this complete one,
-        never a half-written mix.
+        The first call builds the skip table and packed rows in ``O(n)``
+        — plus the numpy mirrors when ``want_numpy`` — and publishes them
+        as one tuple.  From then on writers keep the view current, so
+        this is ``O(1)``; the mirrors are added once if a later call is
+        the first to want them, and are never dropped for a call that
+        does not.
         """
         view = self._view
-        if view is not None and view[0] == self._epoch and (view[1] or not want_numpy):
-            return view
-        epoch = self._epoch  # sampled before building, published inside
+        if view is None:
+            return self._build_view(want_numpy)
+        if want_numpy and not self._numpy and _np is not None:
+            self._numpy = True
+            view = (view[0], view[1], None if self._inexact else self._build_mirrors())
+            self._view = view
+        return view
+
+    def _build_view(self, want_numpy: bool) -> _RangedView:
+        """Build and publish the whole read view; ``O(n)``."""
+        if want_numpy and _np is not None:
+            self._numpy = True
         his = self.his
         block_max = [
             max(his[start:start + _BLOCK]) for start in range(0, len(his), _BLOCK)
         ]
-        np_los = np_his = np_weights = np_slots = None
-        if want_numpy and _np is not None and self._float64_exact():
-            np_los = _np.asarray(self.los, dtype=_np.float64)
-            np_his = _np.asarray(his, dtype=_np.float64)
-            np_weights = _np.asarray(self.weights, dtype=_np.float64)
-            np_slots = _np.asarray(self.slots, dtype=_np.int64)
         packed = list(zip(self.los, his, self.weights, self.slots))
-        built: _RangedView = (
-            epoch, want_numpy, block_max, np_los, np_his, np_weights, np_slots, packed,
-        )
-        self._view = built
-        return built
+        mirrors = self._build_mirrors() if self._numpy and not self._inexact else None
+        view: _RangedView = (block_max, packed, mirrors)
+        self._view = view
+        return view
 
-    def _float64_exact(self) -> bool:
-        """Whether every endpoint round-trips float64 without rounding.
+    def _build_mirrors(self) -> _Mirrors:
+        """Fresh float64/int64 mirrors of the arrays, with spare capacity."""
+        count = len(self.los)
+        capacity = _capacity(count)
+        los = _np.empty(capacity, dtype=_np.float64)
+        his = _np.empty(capacity, dtype=_np.float64)
+        weights = _np.empty(capacity, dtype=_np.float64)
+        slots = _np.empty(capacity, dtype=_np.int64)
+        los[:count] = self.los
+        his[:count] = self.his
+        weights[:count] = self.weights
+        slots[:count] = self.slots
+        return los, his, weights, slots
 
-        Python int/float comparisons are exact, so ``float(v) == v``
-        detects any endpoint (e.g. an int beyond 2**53) whose float64
-        image would shift a candidate-selection comparison.
+    def _update_mirrors(
+        self, view: _RangedView, position: int, row: Optional[_Row]
+    ) -> None:
+        """Apply one write (``row`` inserted, or ``None``: deleted) to the mirrors.
+
+        Drops them while an endpoint is inexact and rebuilds them once
+        when the last inexact endpoint leaves.
         """
-        return all(float(v) == v for v in self.los) and all(
-            float(v) == v for v in self.his
-        )
+        if not self._numpy:
+            return
+        mirrors = view[2]
+        if self._inexact:
+            if mirrors is not None:
+                self._view = (view[0], view[1], None)
+            return
+        if mirrors is None:
+            self._view = (view[0], view[1], self._build_mirrors())
+            return
+        count = len(self.los)
+        if row is None:
+            for array in mirrors:
+                array[position:count] = array[position + 1:count + 1]
+            return
+        if count > len(mirrors[0]):
+            grown: List[Any] = []
+            for array in mirrors:
+                bigger = _np.empty(_capacity(count), dtype=array.dtype)
+                bigger[:count - 1] = array[:count - 1]
+                grown.append(bigger)
+            mirrors = (grown[0], grown[1], grown[2], grown[3])
+            self._view = (view[0], view[1], mirrors)
+        for array, value in zip(mirrors, row):
+            array[position + 1:count] = array[position:count - 1]
+            array[position] = value
 
     # ------------------------------------------------------------------
     # Stabbing
@@ -214,18 +307,12 @@ class SoARangedIndex:
         if not stop:
             return []
         view = self.ensure_view(want_numpy=use_numpy)
-        np_his = view[4]
-        if (
-            use_numpy
-            and _np is not None
-            and np_his is not None
-            and float(qlo) == qlo
-            and stop > _BLOCK
-        ):
-            found: List[int] = _np.flatnonzero(np_his[:stop] >= qlo).tolist()
+        mirrors = view[2]
+        if use_numpy and mirrors is not None and float(qlo) == qlo and stop > _BLOCK:
+            found: List[int] = _np.flatnonzero(mirrors[1][:stop] >= qlo).tolist()
             return found
         his = self.his
-        block_max = view[2]
+        block_max = view[0]
         out: List[int] = []
         append = out.append
         for start in range(0, stop, _BLOCK):
@@ -249,9 +336,8 @@ class SoARangedIndex:
         stop = bisect_right(self.los, qhi)
         if not stop:
             return [], 0, 0, 0
-        view = self.ensure_view(want_numpy=False)
+        block_max = self.ensure_view()[0]
         his = self.his
-        block_max = view[2]
         out: List[int] = []
         append = out.append
         scanned = 0
@@ -268,6 +354,71 @@ class SoARangedIndex:
                 if his[index] >= qlo:
                     append(index)
         return out, scanned, blocks_skipped, blocks_total
+
+
+def _block_insert(block_max: List[float], his: List[float], position: int) -> None:
+    """Update the skip table after ``his`` gained an entry at ``position``.
+
+    Each block from ``position``'s on takes one entry in (the new one, or
+    the entry the block before gave away) and gives its own last entry to
+    the next block.  A block's maximum is rescanned only when the entry
+    it gave away held that maximum and the one it took in is smaller.
+    """
+    count = len(his)
+    block = position // _BLOCK
+    start = block * _BLOCK
+    entering = his[position]
+    blocks = len(block_max)
+    while block < blocks:
+        current = block_max[block]
+        leaving_at = start + _BLOCK
+        if leaving_at >= count:  # the last block: nothing leaves
+            if entering > current:
+                block_max[block] = entering
+            return
+        leaving = his[leaving_at]
+        if entering > current:
+            block_max[block] = entering
+        elif entering < current and leaving == current:
+            block_max[block] = max(his[start:leaving_at])
+        entering = leaving
+        start = leaving_at
+        block += 1
+    block_max.append(entering)  # a new trailing block of one entry
+
+
+def _block_delete(
+    block_max: List[float], his: List[float], position: int, high: float
+) -> None:
+    """Update the skip table after ``his`` lost the entry ``high`` at ``position``.
+
+    The mirror image of :func:`_block_insert`: each block from
+    ``position``'s on gives one entry out (the deleted one, or its first
+    entry to the block before) and takes the next block's first entry in.
+    """
+    count = len(his)
+    block = position // _BLOCK
+    start = block * _BLOCK
+    leaving = high
+    blocks = len(block_max)
+    while block < blocks:
+        if start >= count:  # the trailing block emptied
+            block_max.pop()
+            return
+        current = block_max[block]
+        entering_at = start + _BLOCK - 1
+        if entering_at >= count:  # the last block: nothing enters
+            if leaving == current:
+                block_max[block] = max(his[start:count])
+            return
+        entering = his[entering_at]
+        if entering > current:
+            block_max[block] = entering
+        elif entering < current and leaving == current:
+            block_max[block] = max(his[start:entering_at + 1])
+        leaving = entering
+        start += _BLOCK
+        block += 1
 
 
 class SoADiscreteBucket:

@@ -3,10 +3,16 @@
 The bitwise score equivalence with the reference engine lives in
 ``tests/structures/test_soa_differential.py``; this module covers the
 engine's own contracts — backend selection, slot interning under churn,
-UNKNOWN handling — and that the engine slots into every wrapper the
-reference engine does: the thread-safe wrapper, the instrumented
+UNKNOWN handling, read views kept current by writers — and that the
+engine slots into every wrapper the reference engine does: the
+thread-safe wrapper (under concurrent churn too), the instrumented
 wrapper, and the distributed leaf.
 """
+
+import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -18,7 +24,7 @@ from repro.core.matcher import FXTMMatcher
 from repro.core.results import MatchResult
 from repro.core.stats import InstrumentedMatcher
 from repro.core.subscriptions import Constraint, Subscription
-from repro.structures.soa import numpy_available
+from repro.structures.soa import SoARangedIndex, numpy_available
 
 
 def sub(sid, *constraints):
@@ -27,6 +33,63 @@ def sub(sid, *constraints):
 
 def ranged(attribute, low, high, weight=1.0):
     return Constraint(attribute, Interval(low, high), weight)
+
+
+BACKENDS = [
+    "python",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(not numpy_available(), reason="numpy not importable"),
+    ),
+]
+
+
+def populated(backend, count=700):
+    """Engine and reference over ``count`` subscriptions on ``x`` and ``y``.
+
+    Every interval starts at 1000 or above, so ``x``/``y`` intervals
+    below 1000 never match an event from :func:`high_events`.
+    """
+    rng = random.Random(8)
+    engine = ArrayTopKMatcher(backend=backend, prorate=True)
+    reference = FXTMMatcher(prorate=True)
+    for i in range(count):
+        x_low = rng.randint(1000, 2000)
+        y_low = rng.randint(1000, 2000)
+        subscription = sub(
+            f"s{i}",
+            ranged("x", x_low, x_low + rng.randint(0, 300), rng.uniform(0.5, 3.0)),
+            ranged("y", y_low, y_low + rng.randint(0, 300), rng.uniform(0.5, 3.0)),
+        )
+        engine.add_subscription(subscription)
+        reference.add_subscription(subscription)
+    return engine, reference
+
+
+def high_events(count, seed):
+    rng = random.Random(seed)
+    events = []
+    for _ in range(count):
+        x_low = rng.randint(1500, 2200)
+        y_low = rng.randint(1500, 2200)
+        events.append(
+            Event({
+                "x": Interval(x_low, x_low + rng.randint(0, 80)),
+                "y": Interval(y_low, y_low + rng.randint(0, 80)),
+            })
+        )
+    return events
+
+
+def low_subscription(rng, sid):
+    """Sorts ahead of every :func:`populated` entry and matches no event."""
+    x_low = rng.randint(0, 900)
+    y_low = rng.randint(0, 900)
+    return sub(
+        sid,
+        ranged("x", x_low, x_low + rng.randint(0, 99)),
+        ranged("y", y_low, y_low + rng.randint(0, 99)),
+    )
 
 
 class TestBackendSelection:
@@ -96,6 +159,107 @@ class TestEngineBehaviour:
 
     def test_empty_matcher_matches_nothing(self):
         assert ArrayTopKMatcher(backend="python").match(Event({"age": 1}), k=3) == []
+
+
+class TestWriterMaintainedViews:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_writes_between_matches_trigger_no_view_rebuild(self, backend, monkeypatch):
+        engine, reference = populated(backend)
+        engine.ensure_built()
+        builds = []
+        for name in ("_build_view", "_build_mirrors"):
+            original = getattr(SoARangedIndex, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                builds.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(SoARangedIndex, name, counted)
+        rng = random.Random(9)
+        live = [f"s{i}" for i in range(700)]
+        for trial, event in enumerate(high_events(60, seed=10)):
+            if trial % 2:
+                victim = live.pop(rng.randrange(len(live)))
+                engine.cancel_subscription(victim)
+                reference.cancel_subscription(victim)
+            else:
+                fresh = low_subscription(rng, f"fresh{trial}")
+                live.append(fresh.sid)
+                engine.add_subscription(fresh)
+                reference.add_subscription(fresh)
+            ours, theirs = engine.match(event, k=10), reference.match(event, k=10)
+            assert ours == theirs
+            assert [r.score for r in ours] == [r.score for r in theirs]
+        assert builds == []
+
+
+class TestConcurrentChurn:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_readers_see_stable_answers_while_a_writer_churns(self, backend):
+        """Readers under the read lock while one writer shifts every
+        entry of the attributes they probe; the churned subscriptions
+        never match, so every answer must equal the reference's."""
+        engine, reference = populated(backend)
+        engine.ensure_built()
+        events = high_events(12, seed=11)
+        expected = [reference.match(event, k=10) for event in events]
+        safe = ThreadSafeMatcher(engine)
+        errors = []
+        done = threading.Event()
+
+        def reader(offset):
+            try:
+                round_ = 0
+                # Keep reading until the writer has shifted the arrays often.
+                while round_ < 2 or (len(writes) < 60 and not errors):
+                    for index in range(len(events)):
+                        turn = (index + offset + round_) % len(events)
+                        got = safe.match(events[turn], k=10)
+                        assert got == expected[turn], (turn, got)
+                    round_ += 1
+            except Exception as error:  # pragma: no cover - test guard
+                errors.append(error)
+
+        def writer():
+            rng = random.Random(12)
+            live = []
+            try:
+                while not done.is_set():
+                    if live and (len(live) > 40 or rng.random() < 0.4):
+                        safe.cancel_subscription(live.pop(rng.randrange(len(live))))
+                    else:
+                        fresh = low_subscription(rng, f"churn{len(writes)}")
+                        live.append(fresh.sid)
+                        safe.add_subscription(fresh)
+                    writes.append(len(live))
+                    # The lock prefers writers: pause so readers get turns.
+                    time.sleep(0.0002)
+                for sid in live:
+                    safe.cancel_subscription(sid)
+            except Exception as error:  # pragma: no cover - test guard
+                errors.append(error)
+
+        writes = []
+        readers = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        churner = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-write and mid-fold
+        try:
+            churner.start()
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=60)
+            done.set()
+            churner.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [*readers, churner])
+        assert not errors
+        assert len(writes) >= 60  # the readers really raced the writer
+        assert len(engine) == 700
+        assert safe.match(events[0], k=10) == expected[0]
 
 
 class TestWrapperIntegration:

@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.baselines.naive import NaiveMatcher
+from repro.core import array_matcher
 from repro.core.array_matcher import ArrayTopKMatcher
 from repro.core.attributes import UNKNOWN, Interval
 from repro.core.events import Event
@@ -211,15 +212,80 @@ def test_budgeted_match_differential(seed):
         _assert_identical(per_engine, (trial, event.attributes))
 
 
-def test_numpy_backend_falls_back_on_inexact_endpoints():
+def _count_vectorised_folds(monkeypatch):
+    """Record every numpy fold as (reached past the size cutoff, answered).
+
+    A fold that returns True on a cutoff of at least ``_NUMPY_MIN_CUTOFF``
+    entries answered from the mirrors; one that returns False there fell
+    back to the scalar scan at a later guard (query or endpoint exactness).
+    """
+    calls = []
+    fold = ArrayTopKMatcher._fold_ranged_numpy
+
+    def counted(self, index, attribute, qlo, qhi, *rest):
+        answered = fold(self, index, attribute, qlo, qhi, *rest)
+        calls.append((index.cutoff(qhi) >= array_matcher._NUMPY_MIN_CUTOFF, answered))
+        return answered
+
+    monkeypatch.setattr(ArrayTopKMatcher, "_fold_ranged_numpy", counted)
+    return calls
+
+
+def _with_price(rng: random.Random, sid: str) -> Subscription:
+    """A random subscription that always constrains ``price``."""
+    subscription = _random_subscription(rng, sid)
+    if any(c.attribute == "price" for c in subscription.constraints):
+        return subscription
+    low = rng.randint(-40, 40)
+    price = Constraint("price", Interval(low, low + rng.randint(0, 25)), rng.uniform(-1, 4))
+    return Subscription(sid, [*subscription.constraints, price])
+
+
+@pytest.mark.parametrize("prorate", [False, True])
+def test_single_writes_between_matches_reach_the_numpy_fold(prorate, monkeypatch):
+    """One ADD or CANCEL between matches on built views, with ``price``
+    above the numpy cutoff, so the vectorised fold is compared with FX-TM
+    on views the writers maintained rather than rebuilt."""
+    if not numpy_available():
+        pytest.skip("numpy not importable")
+    calls = _count_vectorised_folds(monkeypatch)
+    rng = random.Random(21)
+    engines = _engines(prorate)
+    live = []
+    for i in range(900):
+        subscription = _with_price(rng, f"s{i}")
+        live.append(subscription.sid)
+        for engine in engines:
+            engine.add_subscription(subscription)
+    for engine in engines:
+        engine.ensure_built()
+    for trial in range(240):
+        event = _random_event(rng)
+        k = rng.randint(1, 8)
+        per_engine = [engine.match(event, k) for engine in engines]
+        _assert_identical(per_engine, (trial, event.attributes, k))
+        if trial % 2:
+            sid = live.pop(rng.randrange(len(live)))
+            for engine in engines:
+                engine.cancel_subscription(sid)
+        else:
+            subscription = _with_price(rng, f"fresh{trial}")
+            live.append(subscription.sid)
+            for engine in engines:
+                engine.add_subscription(subscription)
+    assert sum(1 for past_cutoff, answered in calls if past_cutoff and answered) >= 20
+
+
+def test_numpy_backend_falls_back_on_inexact_endpoints(monkeypatch):
     """Endpoints beyond 2**53 must not be rounded through float64."""
     if not numpy_available():
         pytest.skip("numpy not importable")
+    calls = _count_vectorised_folds(monkeypatch)
     big = 2**60
     reference = FXTMMatcher()
     arrayed = ArrayTopKMatcher(backend="numpy")
     for engine in (reference, arrayed):
-        for offset in range(80):
+        for offset in range(600):
             engine.add_subscription(
                 Subscription(
                     f"s{offset}",
@@ -227,7 +293,46 @@ def test_numpy_backend_falls_back_on_inexact_endpoints():
                 )
             )
         engine.ensure_built()
-    event = Event({"n": Interval(big + 3, big + 40)})
+    # Exact query endpoints and a cutoff past 512 entries: only the
+    # endpoint-exactness guard stands between this stab and the mirrors.
+    event = Event({"n": Interval(big + 256, big + 2048)})
     ours = arrayed.match(event, k=50)
     assert ours == reference.match(event, k=50)
     assert ours  # the window genuinely stabs something
+    assert calls == [(True, False)]  # past the cutoff, then fell back
+
+
+def test_numpy_mirrors_follow_one_inexact_entry_in_and_out(monkeypatch):
+    """Exact -> one inexact insert (mirrors dropped) -> its cancel
+    (mirrors back), equal to FX-TM at every step."""
+    if not numpy_available():
+        pytest.skip("numpy not importable")
+    calls = _count_vectorised_folds(monkeypatch)
+    big = 2**60
+    reference = FXTMMatcher(prorate=True)
+    arrayed = ArrayTopKMatcher(prorate=True, backend="numpy")
+    for engine in (reference, arrayed):
+        for offset in range(700):
+            engine.add_subscription(
+                Subscription(f"s{offset}", [Constraint("n", Interval(offset, offset + 30))])
+            )
+        engine.ensure_built()
+    index = arrayed._master_index["n"]
+    event = Event({"n": Interval(600, 640)})
+
+    def step(expect_mirrors, expect_answered):
+        assert (index.ensure_view(True)[2] is not None) == expect_mirrors
+        del calls[:]
+        _assert_identical([reference.match(event, 20), arrayed.match(event, 20)], event)
+        assert calls == [(True, expect_answered)]
+
+    step(expect_mirrors=True, expect_answered=True)
+    # Stabs every query and rounds in float64: the scalar scan must answer.
+    wide = Subscription("wide", [Constraint("n", Interval(-big - 1, big + 1), 5.0)])
+    for engine in (reference, arrayed):
+        engine.add_subscription(wide)
+    step(expect_mirrors=False, expect_answered=False)
+    assert arrayed.match(event, 1)[0].sid == "wide"
+    for engine in (reference, arrayed):
+        engine.cancel_subscription("wide")
+    step(expect_mirrors=True, expect_answered=True)
