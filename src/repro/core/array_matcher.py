@@ -392,28 +392,47 @@ class ArrayTopKMatcher(TopKMatcher):
         order: List[int],
         gen: int,
     ) -> bool:
-        """Vectorised scan-and-score; returns False to request fallback.
+        """Vectorised scan-and-fold; returns False to request fallback.
+
+        Scores through :meth:`_score_ranged_numpy`; accumulation stays
+        scalar and in-order.
+        """
+        scored = self._score_ranged_numpy(index, attribute, qlo, qhi, override)
+        if scored is None:
+            return False
+        slots, subscores = scored
+        self._fold_pairs(zip(slots, subscores), None, order, gen, precomputed=True)
+        return True
+
+    def _score_ranged_numpy(
+        self,
+        index: SoARangedIndex,
+        attribute: str,
+        qlo: Any,
+        qhi: Any,
+        override: Optional[float],
+    ) -> Optional[Tuple[List[int], List[float]]]:
+        """One stab's slots and subscores, vectorised; None requests fallback.
 
         Candidate selection and subscore computation run as elementwise
-        float64 array operations (bitwise-identical to the scalar path);
-        accumulation stays scalar and in-order.  Falls back when the
-        slice is small, the query endpoints are not float64-exact, or
-        the attribute's mirrors could not be built.
+        float64 array operations (bitwise-identical to the scalar path).
+        Falls back when the slice is small, the query endpoints are not
+        float64-exact, or the attribute's mirrors could not be built.
         """
         if _np is None:
-            return False
+            return None
         stop = index.cutoff(qhi)
         if not stop:
-            return True
+            return [], []
         if stop < _NUMPY_MIN_CUTOFF or float(qlo) != qlo or float(qhi) != qhi:
-            return False
+            return None
         mirrors = index.ensure_view(True)[2]
         if mirrors is None:
-            return False
+            return None
         np_los, np_his, np_weights, np_slots = mirrors
         found = _np.flatnonzero(np_his[:stop] >= qlo)
         if not found.size:
-            return True
+            return [], []
         slot_list: List[int] = np_slots[found].tolist()
         if self.prorate:
             constant = self._proration_constant(attribute)
@@ -436,8 +455,58 @@ class ArrayTopKMatcher(TopKMatcher):
             subscores = np_weights[found].tolist()
         else:
             subscores = [override] * len(slot_list)
-        self._fold_pairs(zip(slot_list, subscores), None, order, gen, precomputed=True)
-        return True
+        return slot_list, subscores
+
+    def _scan_scored(
+        self, index: SoARangedIndex, attribute: str, qlo: Any, qhi: Any
+    ) -> List[Tuple[int, float]]:
+        """One stab's ``(slot, subscore)`` pairs in one pass, cacheable per stab key.
+
+        Past the numpy cutoff the vectorised scorer answers; otherwise
+        one walk over the packed rows, skipping blocks whose ``max_high``
+        lies below ``qlo``.  Arithmetic mirrors ``FXTMMatcher._scored_ranged``
+        so the pairs are bitwise-identical.  Valid only without per-event
+        overrides — overrides fold from the raw candidates
+        (:meth:`_fold_candidates_override`).
+        """
+        use_numpy = self.backend == "numpy"
+        if use_numpy:
+            vectorised = self._score_ranged_numpy(index, attribute, qlo, qhi, None)
+            if vectorised is not None:
+                slots, subscores = vectorised
+                return list(zip(slots, subscores))
+        stop = index.cutoff(qhi)
+        if not stop:
+            return []
+        block_max, packed, _mirrors = index.ensure_view(use_numpy)
+        scored: List[Tuple[int, float]] = []
+        append = scored.append
+        # Weights are floats, so an event without positive width scores
+        # each one times 1.0, which is the weight itself.
+        prorate = False
+        if self.prorate:
+            constant = self._proration_constant(attribute)
+            event_width = qhi - qlo + constant
+            prorate = event_width > 0
+        for start in range(0, stop, 64):
+            if block_max[start // 64] < qlo:
+                continue
+            end = start + 64
+            rows = packed[start:end if end < stop else stop]
+            if prorate:
+                for low, high, weight, slot in rows:
+                    if high >= qlo:
+                        fraction = (
+                            (qhi if qhi <= high else high)
+                            - (qlo if qlo >= low else low)
+                            + constant
+                        ) / event_width
+                        append((slot, weight * (1.0 if fraction > 1.0 else fraction)))
+            else:
+                for _low, high, weight, slot in rows:
+                    if high >= qlo:
+                        append((slot, weight))
+        return scored
 
     def _fold_pairs(
         self,
@@ -525,11 +594,14 @@ class ArrayTopKMatcher(TopKMatcher):
     ) -> List[List[MatchResult]]:
         """Match ``events`` in order with memoised probes.
 
-        Same exactness contract as the reference engine: candidate index
-        lists are memoised by stab key, prorated ``(slot, subscore)``
-        folds by the same key — and, as in the reference, any per-event
-        weight override bypasses the memoised scored folds for that
-        attribute and folds from the raw candidates instead.
+        Same exactness contract as the reference engine.  A ranged
+        stab-key miss scans the packed rows once (the vectorised scorer
+        past the numpy cutoff) and caches the scored ``(slot, subscore)``
+        pairs under the key.  As in the reference, a per-event weight
+        override bypasses those pairs for its attribute and folds from
+        the raw candidate positions, which are built and cached only for
+        such events.  Hits and misses count one probe per stab key,
+        whichever path touches it first.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -560,21 +632,20 @@ class ArrayTopKMatcher(TopKMatcher):
             if isinstance(structure, SoARangedIndex):
                 interval = event.interval_of(attribute)
                 qlo, qhi = interval.low, interval.high
+                cache.record_stab(attribute, qlo, qhi)
+                if override is None:
+                    scored = cache.get_scored(attribute, qlo, qhi)
+                    if scored is None:
+                        scored = self._scan_scored(structure, attribute, qlo, qhi)
+                        cache.put_scored(attribute, qlo, qhi, scored)
+                    if scored:
+                        self._fold_pairs(scored, None, order, gen, precomputed=True)
+                    continue
                 candidates = cache.get_candidates(attribute, qlo, qhi)
                 if candidates is None:
                     candidates = structure.candidates(qlo, qhi, use_numpy=use_numpy)
                     cache.put_candidates(attribute, qlo, qhi, candidates)
-                if not candidates:
-                    continue
-                if override is None:
-                    scored = cache.get_scored(attribute, qlo, qhi)
-                    if scored is None:
-                        scored = self._scored_candidates(
-                            structure, candidates, attribute, qlo, qhi
-                        )
-                        cache.put_scored(attribute, qlo, qhi, scored)
-                    self._fold_pairs(scored, None, order, gen, precomputed=True)
-                else:
+                if candidates:
                     self._fold_candidates_override(
                         structure, candidates, attribute, qlo, qhi, override, order, gen
                     )
@@ -608,9 +679,11 @@ class ArrayTopKMatcher(TopKMatcher):
                 interval = event.interval_of(attribute)
                 qlo, qhi = interval.low, interval.high
                 heat.record_region(attribute, qlo, qhi)
+                heat.record_cache(
+                    attribute, "ranged", hit=cache.record_stab(attribute, qlo, qhi)
+                )
                 candidates = cache.get_candidates(attribute, qlo, qhi)
                 if candidates is None:
-                    heat.record_cache(attribute, "ranged", hit=False)
                     probed = structure.candidates_heat(qlo, qhi)
                     candidates, scanned, skipped, blocks = probed
                     heat.record_probe(
@@ -622,8 +695,6 @@ class ArrayTopKMatcher(TopKMatcher):
                         blocks_total=blocks,
                     )
                     cache.put_candidates(attribute, qlo, qhi, candidates)
-                else:
-                    heat.record_cache(attribute, "ranged", hit=True)
                 if not candidates:
                     continue
                 if override is None:

@@ -156,6 +156,7 @@ class LocalController:
                 k = int(k_text)
             except ValueError:
                 raise ParseError("MATCH needs '<k> <event>'", line, len(head)) from None
+            LocalController._check_k(k, line, len(head))
             if not event_text.strip():
                 raise ParseError("MATCH needs an event after k", line, len(head))
             return Request(RequestKind.MATCH, k=k, event_text=event_text.strip())
@@ -167,6 +168,7 @@ class LocalController:
                 raise ParseError(
                     "BATCH needs '<k> <event> [; <event> ...]'", line, len(head)
                 ) from None
+            LocalController._check_k(k, line, len(head))
             texts = tuple(text.strip() for text in events_text.split(";"))
             if not events_text.strip() or not all(texts):
                 raise ParseError(
@@ -184,6 +186,12 @@ class LocalController:
                 )
             return Request(kind, fmt=fmt)
         raise ParseError(f"unknown command {head!r}", line, 0)
+
+    @staticmethod
+    def _check_k(k: int, line: str, column: int) -> None:
+        """Reject a non-positive ``k`` at parse time, as every matcher would."""
+        if k < 1:
+            raise ParseError(f"k must be >= 1, got {k}", line, column)
 
     @staticmethod
     def _split_budget(body: str, line: str) -> "tuple[str, Optional[BudgetWindowSpec]]":

@@ -26,6 +26,13 @@ proration configuration, so a cache must never be shared across
 matchers.  A cache must also never outlive a batch — index mutations
 between batches would make it stale.
 
+The array engine (:mod:`repro.core.array_matcher`) caches the scored
+``(slot, subscore)`` pairs *first*: a stab-key miss scans the packed
+rows once and emits them directly.  Raw candidate positions
+(:meth:`get_candidates` / :meth:`put_candidates`) are built only when
+an event with a weight override needs them.  Either memo answers the
+key, so that engine counts its lookups through :meth:`record_stab`.
+
 ``hits`` / ``misses`` counters feed the ``probe_cache.hit/miss`` trace
 spans and the probe-cache hit-ratio metrics (docs/observability.md).
 """
@@ -98,21 +105,30 @@ class ProbeCache:
         """Store a bucket lookup (an absent bucket is stored as ``[]``)."""
         self._discrete[(attribute, value)] = pairs
 
+    def record_stab(self, attribute: str, qlo: Any, qhi: Any) -> bool:
+        """Count one lookup of an array-engine stab key; True on a hit.
+
+        The structure-of-arrays engine's analogue of :meth:`get_ranged`'s
+        accounting: the key is a hit when an earlier event already
+        probed it, whether that stored its scored pairs or its raw
+        candidates.  Each stab key is one index probe, whichever
+        representation answers it.
+        """
+        key = (attribute, qlo, qhi)
+        if key in self._scored or key in self._candidates:
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
     def get_candidates(self, attribute: str, qlo: Any, qhi: Any) -> Optional[List[int]]:
         """The memoised candidate *indices* of an array-engine stab, or None.
 
-        The structure-of-arrays engine's analogue of :meth:`get_ranged`:
-        the cached value is the list of positions overlapping the query
-        in that attribute's parallel arrays.  Counts toward ``hits`` /
-        ``misses`` exactly as :meth:`get_ranged` does — each stab key is
-        one index probe, whichever representation answers it.
+        The positions overlapping the query in that attribute's parallel
+        arrays.  Like :meth:`get_scored` it does not count toward
+        ``hits`` / ``misses``; :meth:`record_stab` does.
         """
-        found = self._candidates.get((attribute, qlo, qhi))
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
+        return self._candidates.get((attribute, qlo, qhi))
 
     def put_candidates(
         self, attribute: str, qlo: Any, qhi: Any, found: List[int]
@@ -125,9 +141,9 @@ class ProbeCache:
     ) -> Optional[List[Tuple[Any, float]]]:
         """The memoised prorated fold of a ranged probe, or None.
 
-        A derived-value memo layered over :meth:`get_ranged`: it does
-        *not* count toward ``hits`` / ``misses``, which tally index
-        probes only.
+        A derived-value memo layered over :meth:`get_ranged` (in the
+        array engine, the first memo of a stab key): it does *not* count
+        toward ``hits`` / ``misses``, which tally index probes only.
         """
         return self._scored.get((attribute, qlo, qhi))
 

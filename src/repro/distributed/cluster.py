@@ -906,7 +906,9 @@ class DistributedTopKSystem:
         return nothing, 0.0, min(clock, policy.deadline_seconds), False
 
     def _coverage(self, delivered: Set[int]) -> float:
-        if not self._owner_of:
+        # Every owner is a leaf index, so when every leaf delivered each
+        # sid is reachable; only a fault pays the per-sid count.
+        if not self._owner_of or len(delivered) == len(self.nodes):
             return 1.0
         reachable = sum(
             1

@@ -65,6 +65,8 @@ PHASE_OF_FRAME: Dict[Tuple[str, str], str] = {
     # Array engine (repro/core/array_matcher.py).
     ("array_matcher", "_fold_ranged_python"): "candidates.score",
     ("array_matcher", "_fold_ranged_numpy"): "candidates.score",
+    ("array_matcher", "_score_ranged_numpy"): "candidates.score",
+    ("array_matcher", "_scan_scored"): "candidates.score",
     ("array_matcher", "_fold_pairs"): "candidates.score",
     ("array_matcher", "_fold_candidates_override"): "candidates.score",
     ("array_matcher", "_scored_candidates"): "candidates.score",

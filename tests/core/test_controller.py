@@ -1,5 +1,7 @@
 """The local controller: request parsing and processing (paper 6.1)."""
 
+import io
+
 import pytest
 
 from repro.core.controller import LocalController, Request, RequestKind
@@ -87,6 +89,11 @@ class TestRequestParsing:
         with pytest.raises(ParseError):
             LocalController.parse_request("MATCH ten a: 1")
 
+    @pytest.mark.parametrize("line", ["MATCH 0 a: 1", "MATCH -3 a: 1", "BATCH 0 a: 1 ; a: 2"])
+    def test_non_positive_k_rejected(self, line):
+        with pytest.raises(ParseError, match="k must be >= 1"):
+            LocalController.parse_request(line)
+
     def test_match_without_event_rejected(self):
         with pytest.raises(ParseError):
             LocalController.parse_request("MATCH 5")
@@ -149,6 +156,22 @@ class TestProcessing:
     def test_cancel_unknown_fails_gracefully(self):
         response = controller().submit("CANCEL ghost")
         assert not response.ok
+
+    @pytest.mark.parametrize("line", ["MATCH 0 a: 5", "BATCH 0 a: 5", "MATCH -3 a: 5"])
+    def test_non_positive_k_fails_gracefully_and_stream_continues(self, line):
+        from repro.cli import serve
+
+        c = controller()
+        response = c.submit(line)
+        assert not response.ok
+        assert "k must be >= 1" in response.error
+        out = io.StringIO()
+        failures = serve(["ADD s1 a in [0, 10] : 2.0", line, "MATCH 1 a: 5"], c, out)
+        assert failures == 1
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "ok ADD s1"
+        assert lines[1].startswith("error k must be >= 1")
+        assert lines[2] == "match [s1=2.000]"
 
     def test_parse_error_returns_failed_response(self):
         response = controller().submit("ADD s1 a ???")

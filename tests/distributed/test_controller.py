@@ -90,6 +90,16 @@ class TestErrorPaths:
         assert response.error
         assert response.results == []
 
+    @pytest.mark.parametrize(
+        "line", ["MATCH 0 age: 5", "BATCH 0 age: 5 ; age: 6", "MATCH -3 age: 5"]
+    )
+    def test_non_positive_k_reported_and_stream_continues(self, controller, line):
+        responses = list(controller.run([STREAM[0], line, "MATCH 1 age: [20 .. 22]"]))
+        assert [r.ok for r in responses] == [True, False, True]
+        assert "k must be >= 1" in responses[1].error
+        assert [r.sid for r in responses[2].results] == ["ad-1"]
+        assert controller.requests_failed == 1
+
     def test_failed_requests_counted(self, controller):
         for line in ["FROBNICATE", "CANCEL ghost", "MATCH"]:
             controller.submit(line)

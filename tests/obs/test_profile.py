@@ -184,3 +184,24 @@ class TestMatchRootAttribution:
         stack = [("/x/repro/core/matcher.py", "_match_topk")]
         profiler.sample_once(stacks=[stack])
         assert profiler.phase_samples == {"fxtm.match": 1}
+
+
+class TestArrayEngineAttribution:
+    """Every array-engine frame in the map is a real scorer or fold."""
+
+    def test_mapped_array_engine_frames_exist(self):
+        from repro.core.array_matcher import ArrayTopKMatcher
+
+        for (module, function), _phase in PHASE_OF_FRAME.items():
+            if module == "array_matcher":
+                assert callable(getattr(ArrayTopKMatcher, function, None)), function
+
+    def test_batched_miss_scoring_is_candidate_scoring(self):
+        profiler = SamplingProfiler()
+        cached = ("/x/repro/core/array_matcher.py", "_fold_event_cached")
+        scan = ("/x/repro/core/array_matcher.py", "_scan_scored")
+        vectorised = ("/x/repro/core/array_matcher.py", "_score_ranged_numpy")
+        profiler.sample_once(stacks=[[scan, cached], [vectorised, scan, cached]])
+        # Without the scorers mapped, both samples would fall through to
+        # the enclosing fold and be reported as master_index.lookup.
+        assert profiler.phase_samples == {"candidates.score": 2}

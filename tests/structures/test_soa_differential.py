@@ -212,22 +212,26 @@ def test_budgeted_match_differential(seed):
         _assert_identical(per_engine, (trial, event.attributes))
 
 
-def _count_vectorised_folds(monkeypatch):
-    """Record every numpy fold as (reached past the size cutoff, answered).
+def _count_vectorised_scores(monkeypatch):
+    """Record every vectorised scoring as (reached past the size cutoff, answered).
 
-    A fold that returns True on a cutoff of at least ``_NUMPY_MIN_CUTOFF``
-    entries answered from the mirrors; one that returns False there fell
-    back to the scalar scan at a later guard (query or endpoint exactness).
+    Single-event numpy folds and batched stab-key misses both score
+    through ``_score_ranged_numpy``.  A call that answers on a cutoff of
+    at least ``_NUMPY_MIN_CUTOFF`` entries scored from the mirrors; one
+    that returns None there fell back to the scalar scan at a later
+    guard (query or endpoint exactness).
     """
     calls = []
-    fold = ArrayTopKMatcher._fold_ranged_numpy
+    score = ArrayTopKMatcher._score_ranged_numpy
 
-    def counted(self, index, attribute, qlo, qhi, *rest):
-        answered = fold(self, index, attribute, qlo, qhi, *rest)
-        calls.append((index.cutoff(qhi) >= array_matcher._NUMPY_MIN_CUTOFF, answered))
-        return answered
+    def counted(self, index, attribute, qlo, qhi, override):
+        scored = score(self, index, attribute, qlo, qhi, override)
+        calls.append(
+            (index.cutoff(qhi) >= array_matcher._NUMPY_MIN_CUTOFF, scored is not None)
+        )
+        return scored
 
-    monkeypatch.setattr(ArrayTopKMatcher, "_fold_ranged_numpy", counted)
+    monkeypatch.setattr(ArrayTopKMatcher, "_score_ranged_numpy", counted)
     return calls
 
 
@@ -242,13 +246,64 @@ def _with_price(rng: random.Random, sid: str) -> Subscription:
 
 
 @pytest.mark.parametrize("prorate", [False, True])
+def test_match_batch_scores_past_the_numpy_cutoff(prorate, monkeypatch):
+    """``price`` holds 900 entries, so batched stab-key misses score on the
+    vectorised branch; weighted clones share those stab keys and fold from
+    raw candidates, some before and some after the scored pairs exist."""
+    calls = _count_vectorised_scores(monkeypatch)
+    rng = random.Random(41)
+    engines = _engines(prorate)
+    for i in range(900):
+        subscription = _with_price(rng, f"s{i}")
+        for engine in engines:
+            engine.add_subscription(subscription)
+    for engine in engines:
+        engine.ensure_built()
+    hot = []
+    for _ in range(8):
+        values = dict(_random_event(rng).known_items())
+        low = round(rng.uniform(10.0, 40.0), 3)
+        values["price"] = Interval(low, low + round(rng.uniform(0.0, 20.0), 3))
+        hot.append(values)
+    # Both orders on a shared key: raw candidates before the scored pairs
+    # exist, and after them.
+    batch = [
+        Event(hot[0], weights={"price": 2.5}),
+        Event(hot[0]),
+        Event(hot[1]),
+        Event(hot[1], weights={"price": 0.5}),
+    ]
+    for _ in range(40):
+        values = rng.choice(hot)
+        if rng.random() < 0.35:
+            chosen = "price" if rng.random() < 0.7 else rng.choice(sorted(values))
+            batch.append(Event(values, weights={chosen: rng.uniform(-1.0, 4.0)}))
+        else:
+            batch.append(Event(values))
+    caches = [ProbeCache() for _ in engines]
+    per_engine = [
+        engine.match_batch(batch, k=6, probe_cache=cache)
+        for engine, cache in zip(engines, caches)
+    ]
+    for position in range(len(batch)):
+        _assert_identical([results[position] for results in per_engine], position)
+    for cache in caches[1:]:
+        assert (cache.hits, cache.misses) == (caches[0].hits, caches[0].misses)
+    assert caches[0].hits > caches[0].misses
+    if numpy_available():
+        assert (True, True) in calls  # the vectorised branch answered a miss
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize("prorate", [False, True])
 def test_single_writes_between_matches_reach_the_numpy_fold(prorate, monkeypatch):
     """One ADD or CANCEL between matches on built views, with ``price``
     above the numpy cutoff, so the vectorised fold is compared with FX-TM
     on views the writers maintained rather than rebuilt."""
     if not numpy_available():
         pytest.skip("numpy not importable")
-    calls = _count_vectorised_folds(monkeypatch)
+    calls = _count_vectorised_scores(monkeypatch)
     rng = random.Random(21)
     engines = _engines(prorate)
     live = []
@@ -280,7 +335,7 @@ def test_numpy_backend_falls_back_on_inexact_endpoints(monkeypatch):
     """Endpoints beyond 2**53 must not be rounded through float64."""
     if not numpy_available():
         pytest.skip("numpy not importable")
-    calls = _count_vectorised_folds(monkeypatch)
+    calls = _count_vectorised_scores(monkeypatch)
     big = 2**60
     reference = FXTMMatcher()
     arrayed = ArrayTopKMatcher(backend="numpy")
@@ -307,7 +362,7 @@ def test_numpy_mirrors_follow_one_inexact_entry_in_and_out(monkeypatch):
     (mirrors back), equal to FX-TM at every step."""
     if not numpy_available():
         pytest.skip("numpy not importable")
-    calls = _count_vectorised_folds(monkeypatch)
+    calls = _count_vectorised_scores(monkeypatch)
     big = 2**60
     reference = FXTMMatcher(prorate=True)
     arrayed = ArrayTopKMatcher(prorate=True, backend="numpy")
